@@ -713,7 +713,7 @@ fn bench_scale(path: &str) {
 /// (hundreds to thousands of states) so `complete` acts as a canary
 /// for accidental state-space blowups.
 fn check_models(path: &str) {
-    use ampnet_check::models::{arena, planner, roster, semaphore, seqlock};
+    use ampnet_check::models::{arena, gate, planner, roster, semaphore, seqlock};
     const BUDGET: usize = 2_000_000;
     let runs = [
         ("seqlock", seqlock::check_seqlock(BUDGET)),
@@ -724,6 +724,7 @@ fn check_models(path: &str) {
         ("frame-arena", arena::check_arena(BUDGET)),
         ("slice-planner", planner::check_planner(BUDGET)),
         ("slice-planner-fixed", planner::check_planner_fixed(BUDGET)),
+        ("epoch-gate", gate::check_gate(BUDGET)),
     ];
     let mut ok = true;
     let mut entries = Vec::new();

@@ -12,8 +12,10 @@
 //! counterexample trace when a property fails, printed in the chaos
 //! engine's flight-recorder style.
 //!
-//! Five shipped models exercise the paper's headline guarantees
-//! against the **real crate code** (not re-implementations):
+//! Five of the shipped models exercise the paper's headline
+//! guarantees against the **real crate code** (not
+//! re-implementations); the sixth transcribes a protocol that is
+//! nothing but atomics:
 //!
 //! * [`models::seqlock`] — the slide-9 two-counter message seqlock
 //!   ([`ampnet_cache::seqlock_msg`]): no torn read is ever exposed.
@@ -32,13 +34,19 @@
 //!   ([`ampnet_core::plan_boundary`] via [`ampnet_core::SlicePlanner`]):
 //!   no crossing delivered past its maturity, no shard starves, and
 //!   the dead-air-skip / quiescent-wake paths are genuinely reachable.
+//! * [`models::gate`] — the threaded-PDES epoch gate, one atomic
+//!   operation per transition (publish, torn-read re-check, done count,
+//!   sticky park tokens, shutdown): no shard advanced by two threads,
+//!   no helper running with another epoch's step, no exchange
+//!   overlapping a helper, and no state with every thread parked.
 //!
 //! Each model also ships deliberately-broken mutation variants
 //! (single-counter seqlock, split test-then-set, release without a
-//! generation bump, a planner that forgets the crossing clamp). The checker finding those — with a printed
-//! shortest trace — is its own self-test: it proves the green runs are
-//! green because the protocols are right, not because the checker is
-//! blind.
+//! generation bump, a planner that forgets the crossing clamp, a gate
+//! that drops its torn-read retry or a wake-up). The checker finding
+//! those — with a printed shortest trace — is its own self-test: it
+//! proves the green runs are green because the protocols are right,
+//! not because the checker is blind.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

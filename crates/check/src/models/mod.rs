@@ -1,6 +1,7 @@
-//! The five shipped protocol models (and their mutation variants).
+//! The shipped protocol models (and their mutation variants).
 
 pub mod arena;
+pub mod gate;
 pub mod planner;
 pub mod roster;
 pub mod semaphore;

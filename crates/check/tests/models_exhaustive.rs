@@ -1,10 +1,10 @@
-//! Exhaustive runs of the four shipped protocol models.
+//! Exhaustive runs of the shipped protocol models.
 //!
 //! Each test explores the model's full bounded state space (asserting
 //! `complete`, i.e. the budget was not hit) and prints the
 //! visited-state count so CI logs double as a state-space size record.
 
-use ampnet_check::models::{arena, roster, semaphore, seqlock};
+use ampnet_check::models::{arena, gate, roster, semaphore, seqlock};
 
 /// Generous budget: every model must finish well under it.
 const BUDGET: usize = 2_000_000;
@@ -81,4 +81,16 @@ fn arena_ownership_protocol_is_sound() {
     assert!(report.passed(), "state space must be fully explored");
     assert!(report.visited > 50, "hop interleavings explored");
     assert!(report.terminals > 0, "all frames retire");
+}
+
+#[test]
+fn epoch_gate_is_race_and_deadlock_free() {
+    let report = gate::check_gate(BUDGET);
+    println!("{}", report.summary("epoch-gate"));
+    if let Some(cx) = &report.violation {
+        panic!("unexpected violation:\n{}", cx.render());
+    }
+    assert!(report.passed(), "state space must be fully explored");
+    assert!(report.visited > 10_000, "atomic-step interleavings explored");
+    assert!(report.terminals > 0, "every run shuts the pool down");
 }

@@ -5,7 +5,7 @@
 //! failing, either the mutant stopped modeling the bug or the checker
 //! went blind, and both are defects.
 
-use ampnet_check::models::{arena, planner, semaphore, seqlock};
+use ampnet_check::models::{arena, gate, planner, semaphore, seqlock};
 use ampnet_check::Counterexample;
 
 const BUDGET: usize = 2_000_000;
@@ -73,4 +73,43 @@ fn missing_generation_bump_aliases_silently() {
         "no panic fires — only the checker sees the aliasing"
     );
     assert_trace(&cx, 3);
+}
+
+/// Run one epoch-gate mutant; it must violate `property`.
+fn gate_mutant(variant: gate::GateVariant, property: &str, min_steps: usize) {
+    let report = gate::check_gate_variant(variant, BUDGET);
+    println!("{}", report.summary(&format!("epoch-gate/{variant:?}")));
+    let cx = report.violation.expect("mutant must be caught");
+    assert_eq!(cx.property, property, "{variant:?}");
+    assert_trace(&cx, min_steps);
+}
+
+#[test]
+fn gate_without_torn_read_retry_runs_a_foreign_step() {
+    gate_mutant(gate::GateVariant::NoTornReadRetry, "no-foreign-step", 10);
+}
+
+#[test]
+fn gate_resetting_done_after_the_bump_loses_a_wake() {
+    gate_mutant(gate::GateVariant::LateDoneReset, "no-all-parked", 10);
+}
+
+#[test]
+fn done_guard_without_unpark_strands_the_coordinator() {
+    gate_mutant(gate::GateVariant::DoneGuardNoUnpark, "no-all-parked", 5);
+}
+
+#[test]
+fn coordinator_park_without_recheck_overlaps_the_exchange() {
+    gate_mutant(gate::GateVariant::ParkWithoutRecheck, "exchange-excludes-helpers", 5);
+}
+
+#[test]
+fn single_epoch_bump_pairs_an_epoch_with_the_next_mask() {
+    gate_mutant(gate::GateVariant::SingleEpochBump, "no-foreign-step", 10);
+}
+
+#[test]
+fn pool_without_shutdown_guard_hangs_on_a_coordinator_panic() {
+    gate_mutant(gate::GateVariant::NoShutdownGuard, "no-all-parked", 3);
 }

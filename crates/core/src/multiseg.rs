@@ -13,13 +13,14 @@
 //!
 //! The segments run in lockstep time slices (conservative parallel
 //! discrete-event simulation). Each slice, every cluster *shard*
-//! advances to the same simulated instant — under
-//! [`ParallelMode::Threads`] the shards advance concurrently on a
-//! scoped worker pool synchronized by a sense-reversing *epoch gate*
-//! (see `EpochGate`) — then the coordinator performs the *boundary
-//! exchange*: route-stream inboxes are drained in deterministic
-//! `(segment, node, FIFO seq)` order and matured bridge crossings
-//! injected per *dirty* bridge in bridge-registration order.
+//! advances to the same simulated instant; then the coordinator (the
+//! calling thread) performs the *boundary exchange*: route-stream
+//! inboxes are drained in deterministic `(segment, node, FIFO seq)`
+//! order and matured bridge crossings injected per *dirty* bridge in
+//! bridge-registration order. Under [`ParallelMode::Threads`] the
+//! shards advance concurrently: the coordinator advances partition 0
+//! itself while scoped helpers, synchronized by a sense-reversing
+//! *epoch gate* (see `EpochGate`), advance the others.
 //!
 //! Why determinism survives threads: shards only interact through the
 //! exchange. During a slice each cluster is advanced by exactly one
@@ -53,8 +54,8 @@
 //!   and published in a single epoch-gate publication instead of
 //!   re-planning each slice.
 //! * **Quiescent-shard skipping**: a shard with no event due within
-//!   the slice does not wake its worker — the coordinator bumps its
-//!   clock inline (an O(1) operation) while workers that do have work
+//!   the slice does not wake its helper — the coordinator bumps its
+//!   clock inline (an O(1) operation) while helpers that do have work
 //!   run concurrently. Every shard's clock still advances every slice;
 //!   only the wake is skipped. When *every* shard is quiescent the
 //!   epoch gate is never touched at all (a fully elided barrier,
@@ -86,8 +87,9 @@ use crate::planner::{Lookahead, SlicePlanner};
 use ampnet_sim::{Fnv64, SimDuration, SimTime};
 use ampnet_telemetry::{defs, CounterHandle, MetricsSnapshot, Telemetry, GLOBAL};
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{fence, AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
+use std::thread::{ScopedJoinHandle, Thread};
 
 /// Message stream reserved for inter-segment routing.
 pub const ROUTE_STREAM: u8 = 5;
@@ -193,10 +195,13 @@ pub enum ParallelMode {
     /// One thread advances every shard in segment order — the
     /// reference execution.
     Serial,
-    /// A scoped pool of this many worker threads advances the shards
-    /// concurrently (worker `w` takes segments `w, w + n, ...`).
-    /// Produces bit-identical results to [`ParallelMode::Serial`] for
-    /// the same seed — enforced by `tests/parallel_equivalence.rs`.
+    /// This many workers advance the shards concurrently (worker `w`
+    /// takes segments `w, w + n, ...`). The calling thread is worker 0;
+    /// each `run_until` spawns `n − 1` scoped helpers, which park
+    /// between slices and are woken only for slices their partition is
+    /// busy in. Produces bit-identical results to
+    /// [`ParallelMode::Serial`] for the same seed — enforced by
+    /// `tests/parallel_equivalence.rs`.
     Threads(usize),
 }
 
@@ -237,8 +242,12 @@ pub struct SliceStats {
     /// after the drain — the numerator of the dirty-bridge ratio
     /// (denominator: `slices × bridges`).
     pub dirty_bridges: u64,
-    /// Worker wake-ups under [`ParallelMode::Threads`] (always 0 under
-    /// Serial). The one mode-*dependent* field.
+    /// Helper wake-ups under [`ParallelMode::Threads`]: one per helper
+    /// unparked for a slice its partition is busy in. Partitions the
+    /// coordinator advances itself — partition 0 always, and any
+    /// quiescent one — are not wakes, so this is 0 under Serial and
+    /// under any run whose work stays in partition 0. The one
+    /// mode-*dependent* field.
     pub worker_wakes: u64,
 }
 
@@ -668,54 +677,73 @@ impl Exchange<'_> {
     }
 }
 
+/// Bounded spin before a gate wait falls back to parking: slices are
+/// short, but on an oversubscribed host the threads that still have
+/// work need the core more than a spinning waiter does.
+const GATE_SPINS: u32 = 128;
+
 /// The sense-reversing epoch gate: the single synchronization
-/// primitive of the threaded drive, replacing the old per-worker
-/// channel wake plus shared done-channel protocol (two blocking
-/// channel crossings per worker per slice).
+/// primitive of the threaded drive. The coordinator is worker 0 (it
+/// advances partition 0 itself); the gate serves the `n − 1` scoped
+/// helpers.
 ///
-/// Protocol. The coordinator *publishes* a slice by storing the
-/// boundary (`step`), the busy-worker mask (`busy`), a zeroed `done`
-/// count, and then — the sense reversal — advancing the monotone
-/// `epoch` word (release ordering makes the other stores visible to
-/// anyone who observes the new epoch). Workers park on the epoch word
-/// (bounded spin, then [`std::thread::park`]); a worker that observes
-/// an epoch it has not completed re-reads `busy`/`step`, **re-checks
-/// the epoch word** (a changed epoch means the publication was torn
-/// across the reads — retry), advances its partition if its busy bit
-/// is set, and bumps `done`. The coordinator waits until `done`
-/// reaches the popcount of `busy`.
+/// Protocol. The coordinator *publishes* a slice seqlock-style: it
+/// makes the monotone `epoch` word odd (publication in progress),
+/// stores the boundary (`step`), a zeroed `done` count and the
+/// busy-helper mask (`busy`), then makes `epoch` even again — the
+/// sense reversal; release ordering makes the stores visible to anyone
+/// who observes the new even epoch. Helpers park on the epoch word
+/// (bounded spin, then [`std::thread::park`]); a helper that observes
+/// an even epoch it has not completed reads `busy`/`step`, **re-checks
+/// the epoch word** (a changed epoch means the reads were torn across
+/// a publication — retry), advances its partition if its busy bit is
+/// set, and bumps `done`. The odd phase is what makes the re-check
+/// sound: a helper that was not busy in epoch `e` may still be reading
+/// while the coordinator starts publishing `e + 2`, and without it
+/// could pair `e` with the next slice's mask. The coordinator waits
+/// until `done` reaches the popcount of `busy` (bounded spin, then
+/// park; `DoneGuard` unparks it after every bump).
 ///
-/// What the gate buys over the channels it replaces:
-/// * a worker whose partition is fully quiescent is never woken *and
+/// What the gate buys:
+/// * a helper whose partition is fully quiescent is never woken *and
 ///   never contributes a crossing* — the coordinator bumps its shards
-///   inline and the worker stays parked through any number of epochs
+///   inline and the helper stays parked through any number of epochs
 ///   (it catches up by observing only the latest);
+/// * a slice where only partition 0 is busy is never published — the
+///   coordinator runs it and no helper is touched;
 /// * a fully-quiescent slice touches the gate not at all (no store,
 ///   no unpark — [`SliceStats::barriers_elided`]);
 /// * a fused quiet window ([`crate::FUSE_FACTOR`] notional slices) is
 ///   one publication.
 ///
-/// Unpark tokens are sticky, so the publish-then-unpark order has no
-/// lost-wake window; a stale token at worst costs one spurious loop
-/// iteration (the worker re-parks on an unchanged epoch). `done` is
-/// bumped through a drop guard, so a panicking worker still releases
-/// the coordinator, which then propagates the panic through the
-/// poisoned shard mutex instead of spinning forever.
+/// Unpark tokens are sticky and both waits re-check their condition
+/// after every wake, so there is no lost-wake window in either
+/// direction; a stale token at worst costs one spurious loop
+/// iteration. `done` is bumped through a drop guard, so a panicking
+/// helper still releases the coordinator, which then propagates the
+/// panic through the poisoned shard mutex; `PoolShutdown` releases
+/// the helpers when the coordinator unwinds. The `epoch-gate` model
+/// in `ampnet-check` explores this protocol at the level of single
+/// atomic operations.
 struct EpochGate {
-    /// Monotone publication counter (the sense word).
+    /// Monotone publication counter (the sense word): odd while a
+    /// publication is being written, even once it is complete.
     epoch: AtomicU64,
     /// Boundary instant (nanos) published with the current epoch.
     step: AtomicU64,
-    /// Bit `w`: worker `w` owns at least one busy shard this epoch.
+    /// Bit `w`: helper `w` owns at least one busy shard this epoch.
     /// A `u64` caps the pool at 64 workers (enforced in `run_until`).
     busy: AtomicU64,
-    /// Workers finished with the current epoch.
+    /// Helpers finished with the current epoch.
     done: AtomicU64,
     /// Set (before the final epoch bump) to shut the pool down.
     shutdown: AtomicBool,
+    /// The coordinator, parked in `await_done`.
+    coordinator: Thread,
 }
 
 impl EpochGate {
+    /// A gate whose coordinator is the calling thread.
     fn new() -> Self {
         EpochGate {
             epoch: AtomicU64::new(0),
@@ -723,63 +751,126 @@ impl EpochGate {
             busy: AtomicU64::new(0),
             done: AtomicU64::new(0),
             shutdown: AtomicBool::new(false),
+            coordinator: std::thread::current(),
         }
     }
 
-    /// Publish a slice: `mask` must be non-zero (an all-quiescent
-    /// slice elides the gate instead). Returns the new epoch.
-    fn publish(&self, step: SimTime, mask: u64) -> u64 {
+    /// Publish a slice to the helpers in `mask` (non-zero: a slice no
+    /// helper is busy in is not published at all).
+    fn publish(&self, step: SimTime, mask: u64) {
         debug_assert_ne!(mask, 0, "publishing an empty slice");
+        // Only the coordinator writes `epoch`, so it is even here.
+        let e = self.epoch.fetch_add(1, Ordering::Relaxed);
+        // Orders the odd epoch before the payload stores: a helper
+        // whose re-check fence follows a load of any of them sees the
+        // epoch move.
+        fence(Ordering::Release);
         self.step.store(step.0, Ordering::Relaxed);
         self.done.store(0, Ordering::Relaxed);
         self.busy.store(mask, Ordering::Relaxed);
-        // The release bump orders every store above before the epoch
-        // observation that makes workers act on them.
-        self.epoch.fetch_add(1, Ordering::Release) + 1
+        self.epoch.store(e + 2, Ordering::Release);
     }
 
-    /// Coordinator-side wait until `finished` workers completed the
-    /// current epoch. Bounded spin, then yield: slices are short, but
-    /// on an oversubscribed host the workers need the core more than
-    /// a spinning coordinator does.
+    /// Coordinator-side wait until `finished` helpers completed the
+    /// current epoch. Bounded spin, then park; every `DoneGuard`
+    /// unparks the coordinator, and the loop re-checks `done` after
+    /// every wake (a token left by an earlier epoch is harmless).
     fn await_done(&self, finished: u64) {
         let mut spins = 0u32;
         while self.done.load(Ordering::Acquire) < finished {
-            spins += 1;
-            if spins < 128 {
-                std::hint::spin_loop();
-            } else {
-                std::thread::yield_now();
-            }
-        }
-    }
-
-    /// Worker-side wait for an epoch newer than `seen`. Bounded spin,
-    /// then park (tokens make the race with `unpark` benign).
-    fn await_epoch(&self, seen: u64) -> u64 {
-        let mut spins = 0u32;
-        loop {
-            let e = self.epoch.load(Ordering::Acquire);
-            if e != seen {
-                return e;
-            }
-            spins += 1;
-            if spins < 128 {
+            if spins < GATE_SPINS {
+                spins += 1;
                 std::hint::spin_loop();
             } else {
                 std::thread::park();
             }
         }
     }
+
+    /// Helper-side wait for a completed (even) epoch newer than `seen`.
+    /// Bounded spin, then park (tokens make the race with `unpark`
+    /// benign).
+    fn await_epoch(&self, seen: u64) -> u64 {
+        let mut spins = 0u32;
+        loop {
+            let e = self.epoch.load(Ordering::Acquire);
+            if e != seen && e & 1 == 0 {
+                return e;
+            }
+            if spins < GATE_SPINS {
+                spins += 1;
+                std::hint::spin_loop();
+            } else {
+                std::thread::park();
+            }
+        }
+    }
+
+    /// The helper loop: serve epochs until shutdown, advancing
+    /// partition `w` of `workers` whenever its busy bit is published.
+    fn serve(&self, cells: &[ShardCell<'_>], w: usize, workers: usize) {
+        let mut seen = 0u64;
+        loop {
+            let cur = self.await_epoch(seen);
+            if self.shutdown.load(Ordering::Acquire) {
+                return;
+            }
+            let mask = self.busy.load(Ordering::Relaxed);
+            let step = SimTime(self.step.load(Ordering::Relaxed));
+            fence(Ordering::Acquire);
+            if self.epoch.load(Ordering::Relaxed) != cur {
+                // Torn read: a newer publication began between the
+                // loads. Retry against it (`seen` is still the last
+                // epoch *completed*).
+                continue;
+            }
+            if mask & (1u64 << w) != 0 {
+                let _done = DoneGuard(self);
+                advance_partition(cells, w, workers, step);
+            }
+            seen = cur;
+        }
+    }
 }
 
-/// Bumps a counter on drop: keeps `EpochGate::await_done` finite even
-/// when a worker's slice panics (see the gate's protocol doc).
-struct DoneGuard<'g>(&'g AtomicU64);
+/// Bumps `done` and unparks the coordinator on drop: keeps
+/// `EpochGate::await_done` finite even when a helper's slice panics
+/// (see the gate's protocol doc).
+struct DoneGuard<'g>(&'g EpochGate);
 
 impl Drop for DoneGuard<'_> {
     fn drop(&mut self) {
-        self.0.fetch_add(1, Ordering::Release);
+        self.0.done.fetch_add(1, Ordering::Release);
+        self.0.coordinator.unpark();
+    }
+}
+
+/// Owns the helper handles and shuts the pool down on drop — on the
+/// normal exit and when the coordinator unwinds alike, so
+/// `thread::scope` never joins a helper still parked in `await_epoch`.
+struct PoolShutdown<'g, 'scope> {
+    gate: &'g EpochGate,
+    /// `helpers[w - 1]` serves partition `w`.
+    helpers: Vec<ScopedJoinHandle<'scope, ()>>,
+}
+
+impl Drop for PoolShutdown<'_, '_> {
+    fn drop(&mut self) {
+        self.gate.shutdown.store(true, Ordering::Release);
+        // Keeps the epoch even: no publication is ever in progress
+        // here, since `publish` cannot unwind.
+        self.gate.epoch.fetch_add(2, Ordering::Release);
+        for h in &self.helpers {
+            h.thread().unpark();
+        }
+    }
+}
+
+/// Advance every shard of partition `w` (segments `w, w + n, …`) to
+/// `step`.
+fn advance_partition(cells: &[ShardCell<'_>], w: usize, workers: usize, step: SimTime) {
+    for cell in cells.iter().skip(w).step_by(workers) {
+        shard(cell).run_until(step);
     }
 }
 
@@ -1136,98 +1227,61 @@ impl MultiSegment {
                 if plan.quiescent == cells.len() as u64 {
                     tally.barriers_elided += 1;
                 }
-                for cell in &cells {
-                    shard(cell).run_until(plan.step_to);
-                }
+                advance_partition(&cells, 0, 1, plan.step_to);
                 exchange_at(&mut xch, &cells, plan.step_to, &mut planner, &mut tally, &mut routes);
             }
         } else {
-            // Threaded drive: persistent workers parked on the epoch
-            // gate. Each slice the coordinator publishes the boundary
-            // and the busy-worker mask once, unparks exactly the busy
-            // workers, bumps the clocks of every other shard inline
-            // (O(1) each — their queues are empty up to the boundary),
-            // waits on the done count, then runs the exchange while
-            // all workers are parked. Worker `w` owns segments
-            // `w, w + n, ...` — a fixed partition, so across slices a
-            // shard is only ever touched by its worker or (when the
-            // whole partition is quiescent) the coordinator, never two
+            // Threaded drive: the coordinator is worker 0 and `n − 1`
+            // scoped helpers park on the epoch gate. Each slice the
+            // coordinator publishes the boundary and the busy-helper
+            // mask once (never when no helper is busy), unparks exactly
+            // the busy helpers, then advances partition 0 and bumps
+            // the clocks of every quiescent partition inline (O(1)
+            // each — their queues are empty up to the boundary), waits
+            // on the done count, and runs the exchange while every
+            // helper is parked. Worker `w` owns segments `w, w + n, ...`
+            // — a fixed partition, so across slices a shard is only
+            // ever touched by its helper or the coordinator, never two
             // threads in the same slice.
             let gate = EpochGate::new();
             std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..workers)
-                    .map(|w| {
-                        let cells = &cells;
-                        let gate = &gate;
-                        scope.spawn(move || {
-                            let mut seen = 0u64;
-                            loop {
-                                let cur = gate.await_epoch(seen);
-                                if gate.shutdown.load(Ordering::Acquire) {
-                                    break;
-                                }
-                                let mask = gate.busy.load(Ordering::Acquire);
-                                let step = SimTime(gate.step.load(Ordering::Acquire));
-                                if gate.epoch.load(Ordering::Acquire) != cur {
-                                    // Torn read: a newer publication
-                                    // landed between the loads. Retry
-                                    // against the new epoch (`seen` is
-                                    // still the last one *completed*).
-                                    continue;
-                                }
-                                if mask & (1u64 << w) != 0 {
-                                    let _done = DoneGuard(&gate.done);
-                                    let mut i = w;
-                                    while i < cells.len() {
-                                        shard(&cells[i]).run_until(step);
-                                        i += workers;
-                                    }
-                                }
-                                seen = cur;
-                            }
+                let pool = PoolShutdown {
+                    gate: &gate,
+                    helpers: (1..workers)
+                        .map(|w| {
+                            let (gate, cells) = (&gate, &cells);
+                            scope.spawn(move || gate.serve(cells, w, workers))
                         })
-                    })
-                    .collect();
+                        .collect(),
+                };
                 while let Some(plan) = plan_slice(&cells, xch.crossing, &planner, deadline) {
                     tally.quiescent_shard_slices += plan.quiescent;
-                    let mut mask = 0u64;
-                    for w in 0..workers {
-                        let has_busy = (w..cells.len()).step_by(workers).any(|i| plan.busy[i]);
-                        if has_busy {
-                            mask |= 1u64 << w;
-                        } else {
-                            // Entire partition quiescent: bump the
-                            // clocks here instead of a wake.
-                            let mut i = w;
-                            while i < cells.len() {
-                                shard(&cells[i]).run_until(plan.step_to);
-                                i += workers;
-                            }
-                        }
-                    }
-                    if mask == 0 {
+                    if plan.quiescent == cells.len() as u64 {
                         // Fully quiescent slice (or fused window): the
                         // gate is never touched — no publication, no
                         // unpark, no wait.
                         tally.barriers_elided += 1;
-                    } else {
-                        gate.publish(plan.step_to, mask);
-                        let mut woken = 0u64;
-                        for (w, h) in handles.iter().enumerate() {
-                            if mask & (1u64 << w) != 0 {
+                    }
+                    let helpers = (1..workers)
+                        .filter(|&w| plan.busy.iter().skip(w).step_by(workers).any(|&b| b))
+                        .fold(0u64, |m, w| m | 1 << w);
+                    if helpers != 0 {
+                        gate.publish(plan.step_to, helpers);
+                        for (w, h) in (1..).zip(&pool.helpers) {
+                            if helpers & (1u64 << w) != 0 {
                                 h.thread().unpark();
-                                woken += 1;
                             }
                         }
+                    }
+                    for w in (0..workers).filter(|&w| helpers & (1u64 << w) == 0) {
+                        advance_partition(&cells, w, workers, plan.step_to);
+                    }
+                    if helpers != 0 {
+                        let woken = u64::from(helpers.count_ones());
                         gate.await_done(woken);
                         tally.worker_wakes += woken;
                     }
                     exchange_at(&mut xch, &cells, plan.step_to, &mut planner, &mut tally, &mut routes);
-                }
-                gate.shutdown.store(true, Ordering::Release);
-                gate.epoch.fetch_add(1, Ordering::Release);
-                for h in &handles {
-                    h.thread().unpark();
                 }
             });
         }
@@ -1254,5 +1308,49 @@ impl MultiSegment {
             .unwrap_or(SimTime::ZERO)
             + d;
         self.run_until(deadline, SimDuration::from_micros(10));
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ampnet_topo::montecarlo::Component;
+    use ampnet_topo::NodeId;
+    use std::sync::mpsc;
+    use std::time::Duration;
+
+    /// A shard panic inside the threaded pool propagates instead of
+    /// hanging, whichever thread owns the shard. A coordinator-side
+    /// panic (partition 0 itself, or the poisoned-lock `expect` after a
+    /// helper panicked) unwinds into `thread::scope`, which joins every
+    /// helper — so the helpers must be released on the way out.
+    #[test]
+    fn shard_panic_propagates_from_either_side_of_the_pool() {
+        // Under Threads(2) segment 0 is the coordinator's, segment 1 a
+        // helper's.
+        for seg in [0u8, 1] {
+            let (tx, rx) = mpsc::channel();
+            std::thread::spawn(move || {
+                let outcome = std::panic::catch_unwind(move || {
+                    let mut net = MultiSegment::new(
+                        (0..4u64)
+                            .map(|s| ClusterConfig::small(4).with_seed(40 + s))
+                            .collect(),
+                    );
+                    net.set_parallel_mode(ParallelMode::Threads(2));
+                    let at = net.segment(seg).now() + SimDuration::from_micros(50);
+                    // No such node: the fault handler indexes out of
+                    // bounds when the event fires, mid-slice.
+                    net.segment_mut(seg)
+                        .schedule_failure(at, Component::Node(NodeId(200)));
+                    net.run_until(at + SimDuration::from_micros(50), SimDuration::from_micros(5));
+                });
+                let _ = tx.send(outcome.is_err());
+            });
+            let panicked = rx
+                .recv_timeout(Duration::from_secs(5))
+                .unwrap_or_else(|_| panic!("pool hung after a panic in segment {seg}"));
+            assert!(panicked, "the injected panic in segment {seg} must propagate");
+        }
     }
 }

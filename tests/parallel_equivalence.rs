@@ -285,6 +285,8 @@ fn quiescent_segment_wakes_on_crossing() {
 ///   exchange — and never wakes a worker, even under `Threads(8)`.
 /// * Busy phase: one intra-segment datagram makes segment 0 busy for
 ///   a pinned number of boundaries while the other three stay quiet.
+///   Segment 0 is partition 0, which the coordinator advances itself,
+///   so the phase wakes no helper in any mode.
 /// * The same quiet stretch under `Adaptive` is ONE slice (the planner
 ///   jumps an eventless window straight to the deadline), counting its
 ///   shards once.
@@ -353,6 +355,10 @@ fn quiescence_accounting_is_exact() {
         assert_eq!(
             busy_shard_slices, 1,
             "segment 0 is busy for exactly one boundary ({mode:?})"
+        );
+        assert_eq!(
+            busy.worker_wakes, quiet.worker_wakes,
+            "segment 0 is partition 0, which the coordinator runs: no helper wakes ({mode:?})"
         );
 
         // The full mode-invariant delta tuple (worker_wakes excluded —
@@ -489,4 +495,61 @@ fn adaptive_amortizes_quiet_phases() {
         adaptive.drains_elided > 0,
         "a quiet run must elide exchanges"
     );
+}
+
+/// Pool churn: hundreds of one-slice `run_until` calls on a busy
+/// 8-segment storm. Every threaded call spawns its helpers, publishes,
+/// parks, wakes and shuts the pool down again, so this exercises
+/// thousands of pool lifecycles per mode — and each must leave the
+/// network exactly where Serial does.
+#[test]
+fn one_slice_run_until_churn_is_mode_invariant() {
+    const SEGS: u8 = 8;
+    const CALLS: u32 = 600;
+    let run = |mode: ParallelMode| {
+        let mut net = MultiSegment::new(
+            (0..u64::from(SEGS))
+                .map(|s| ClusterConfig::small(4).with_seed(1300 + s))
+                .collect(),
+        );
+        for s in 0..SEGS {
+            net.add_bridge(ga(s, 3), ga((s + 1) % SEGS, 0), SimDuration::from_micros(5));
+        }
+        net.enable_traces(4096);
+        net.set_parallel_mode(mode);
+        let slice = net.min_bridge_latency().unwrap();
+        let mut now = net.segment(0).now() + SimDuration::from_millis(1);
+        net.run_until(now, slice);
+        let mut delivered = 0u64;
+        for call in 0..CALLS {
+            // One crossing per segment, to a rotating far segment.
+            let hop = 1 + (call % u32::from(SEGS - 1)) as u8;
+            for s in 0..SEGS {
+                net.send_global(ga(s, 1), ga((s + hop) % SEGS, 2), &call.to_le_bytes());
+            }
+            now += slice;
+            net.run_until(now, slice);
+            for s in 0..SEGS {
+                while net.pop_global(ga(s, 2)).is_some() {
+                    delivered += 1;
+                }
+            }
+        }
+        assert_eq!(net.unroutable, 0, "({mode:?})");
+        (net.digest(), delivered, net.slice_stats())
+    };
+    let (digest, delivered, stats) = run(ParallelMode::Serial);
+    assert!(
+        delivered > u64::from(SEGS) * u64::from(CALLS) * 9 / 10,
+        "the storm keeps the bridges busy: {delivered} delivered"
+    );
+    for mode in &MODES[1..] {
+        let (d, n, st) = run(*mode);
+        assert_eq!((d, n), (digest, delivered), "churn differs under {mode:?}");
+        assert_eq!(st.slices, stats.slices, "({mode:?})");
+        assert!(
+            st.worker_wakes >= u64::from(CALLS),
+            "every call wakes its helpers ({mode:?})"
+        );
+    }
 }
